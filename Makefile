@@ -3,7 +3,7 @@
 PYTHON ?= python
 PYTHONPATH_SRC = PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: all install lint lint-json lint-github lint-contracts lint-concurrency lint-persistence lint-commute crash-surface replay-matrix sweep sweep-smoke test bench bench-obs bench-hotpath bench-hotpath-check hotpath-baseline experiments examples verify clean
+.PHONY: all install lint lint-json lint-github lint-contracts lint-concurrency lint-persistence lint-commute crash-surface replay-matrix sweep sweep-smoke test bench bench-obs bench-hotpath bench-hotpath-check hotpath-baseline perfbench-smoke experiments examples verify clean
 
 # Default flow: static analysis first (fast), then the tier-1 suite.
 all: lint test
@@ -101,6 +101,14 @@ bench-hotpath-check:
 # Commit the result — CI compares every run against it.
 hotpath-baseline:
 	$(PYTHONPATH_SRC) $(PYTHON) -m repro.bench --out BENCH_hotpath.json --update-baseline
+
+# One-second perfbench runs with their correctness gate: a traced
+# append_fsync pass (fails loudly if a method the tracer patches by name
+# is renamed away) and an untraced fault_recovery pass (KernelBug on
+# every 5th dir.insert: reboot, shadow replay and hand-off).
+perfbench-smoke:
+	$(PYTHON) perfbench/run.py --workload append_fsync --seed 1 --seconds 1 --trace 1
+	$(PYTHON) perfbench/run.py --workload fault_recovery --seed 1 --seconds 1 --trace 0
 
 experiments:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only -q -s

@@ -210,7 +210,7 @@ class BaseFilesystem(FilesystemAPI):
 
     def _dirty(self, slot: CachedInode) -> None:
         self.hooks.fire("inode.dirty", ino=slot.ino, inode=slot.inode)
-        slot.dirty = True
+        self.inode_cache.mark_dirty(slot)
 
     def _new_inode(self, ftype: FileType, perms: int, parent_group: int, opseq: int, ino: int | None = None) -> CachedInode:
         if ino is None:
@@ -654,8 +654,8 @@ class BaseFilesystem(FilesystemAPI):
 
     def dirty_metadata_count(self) -> int:
         return (
-            len(self.cache.dirty_blocks)
-            + len(self.inode_cache.dirty_inodes())
+            self.cache.dirty_count()
+            + self.inode_cache.dirty_count()
             + len(self.alloc.dirty_block_groups)
             + len(self.alloc.dirty_inode_groups)
         )
@@ -1163,7 +1163,7 @@ class BaseFilesystem(FilesystemAPI):
                 logical = keep - 1
                 page = self._page_for_write(slot, logical, full_overwrite=False)
                 page.data[within:] = b"\x00" * (BLOCK_SIZE - within)
-                page.dirty = True
+                self.page_cache.mark_dirty(page)
         inode.size = size
         inode.mtime = opseq
         inode.ctime = opseq
@@ -1304,7 +1304,7 @@ class BaseFilesystem(FilesystemAPI):
             full = within == 0 and take == BLOCK_SIZE
             page = self._page_for_write(slot, logical, full_overwrite=full)
             page.data[within : within + take] = remaining[:take]
-            page.dirty = True
+            self.page_cache.mark_dirty(page)
             self.hooks.fire("page.write", ino=state.ino, logical=logical)
             remaining = remaining[take:]
             cursor += take

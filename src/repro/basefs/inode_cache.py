@@ -11,6 +11,12 @@ nothing in it can be trusted — and the recovery hand-off repopulates it
 from the shadow's output, entries marked dirty so the normal commit path
 persists them (§3.2 "reuses its existing logic to place them into its
 cache, marked as dirty").
+
+The cache owns the dirty set: ``insert``, :meth:`InodeCache.mark_dirty`,
+``clean``, ``remove`` and ``drop_all`` keep ``_dirty`` in step with the
+slots' ``dirty`` flags, so :meth:`InodeCache.dirty_count` is O(1) and
+:meth:`InodeCache.dirty_inodes` sorts only the dirty inode numbers.
+``CachedInode.dirty`` stays readable, but only this class writes it.
 """
 
 from __future__ import annotations
@@ -45,6 +51,7 @@ class InodeCache:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
         self._slots: OrderedDict[int, CachedInode] = OrderedDict()
+        self._dirty: set[int] = set()  # inode numbers of resident dirty slots
         self.stats = InodeCacheStats()
 
     def __len__(self) -> int:
@@ -67,15 +74,27 @@ class InodeCache:
             raise ValueError(f"inode {ino} already cached")
         slot = CachedInode(ino=ino, inode=inode, dirty=dirty)
         self._slots[ino] = slot
+        if dirty:
+            self._dirty.add(ino)
         self._slots.move_to_end(ino)
         self._evict_excess()
         return slot
 
-    def mark_dirty(self, ino: int) -> None:
-        slot = self._slots.get(ino)
-        if slot is None:
-            raise KeyError(f"inode {ino} not cached")
+    def mark_dirty(self, slot: CachedInode | int) -> None:
+        """Dirty a slot after the caller changed its inode in place.
+
+        Given an inode number, the slot must be cached.  A slot evicted
+        (clean) between lookup and modification gets the flag but is not
+        tracked, so it is never committed.
+        """
+        if isinstance(slot, int):
+            resident = self._slots.get(slot)
+            if resident is None:
+                raise KeyError(f"inode {slot} not cached")
+            slot = resident
         slot.dirty = True
+        if self._slots.get(slot.ino) is slot:
+            self._dirty.add(slot.ino)
 
     def pin(self, ino: int) -> None:
         slot = self._slots.get(ino)
@@ -93,28 +112,34 @@ class InodeCache:
 
     def dirty_inodes(self) -> list[CachedInode]:
         """Dirty slots in inode-number order (deterministic commit order)."""
-        return [self._slots[ino] for ino in sorted(self._slots) if self._slots[ino].dirty]
+        return [self._slots[ino] for ino in sorted(self._dirty)]
+
+    def dirty_count(self) -> int:
+        return len(self._dirty)
 
     def clean(self, ino: int) -> None:
         """Mark a slot clean after its table block was journaled."""
         slot = self._slots.get(ino)
         if slot is not None:
             slot.dirty = False
+            self._dirty.discard(ino)
 
     def remove(self, ino: int) -> None:
         """Drop a slot (inode freed).  Dirty state is discarded — the
         caller has already recorded the free in the bitmaps."""
         self._slots.pop(ino, None)
+        self._dirty.discard(ino)
 
     def drop_all(self) -> None:
         """Contained reboot: discard everything, dirty included."""
         self._slots.clear()
+        self._dirty.clear()
 
     def _evict_excess(self) -> None:
         while len(self._slots) > self.capacity:
             victim = None
             for ino, slot in self._slots.items():
-                if not slot.dirty and slot.pins == 0:
+                if ino not in self._dirty and slot.pins == 0:
                     victim = ino
                     break
             if victim is None:

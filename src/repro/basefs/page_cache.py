@@ -13,6 +13,14 @@ File data lives here between a ``write`` and its write-back, keyed by
   not-yet-persisted data;
 * **read-ahead** — a sequential-read heuristic that exists purely as a
   base-side performance feature, to make the Figure 2 contrast honest.
+
+The cache owns the dirty set: every dirty transition (``install``,
+:meth:`PageCache.mark_dirty`, ``mark_clean``, ``drop_ino``, ``detach``/
+``attach``, ``drop_all``) goes through it and keeps ``_dirty`` in step
+with the pages' ``dirty`` flags.  :meth:`PageCache.dirty_count` is
+therefore O(1), so the write-back tick after every op costs nothing
+proportional to the cache size.  ``Page.dirty`` stays readable, but only
+this class writes it.
 """
 
 from __future__ import annotations
@@ -59,6 +67,7 @@ class PageCache:
         self.readahead_window = readahead_window
         self._pages: OrderedDict[tuple[int, int], Page] = OrderedDict()
         self._last_read: dict[int, int] = {}  # ino -> last logical read (for read-ahead)
+        self._dirty: set[tuple[int, int]] = set()  # keys of resident dirty pages
         self.stats = PageCacheStats()
 
     def __len__(self) -> int:
@@ -86,6 +95,8 @@ class PageCache:
         else:
             page.data[:] = data
             page.dirty = page.dirty or dirty
+        if page.dirty:
+            self._dirty.add(key)
         self._pages.move_to_end(key)
         self._evict_excess()
         return page
@@ -113,45 +124,70 @@ class PageCache:
 
     def dirty_pages(self) -> list[Page]:
         """Dirty pages in (ino, logical) order — deterministic write-back."""
-        return [self._pages[key] for key in sorted(self._pages) if self._pages[key].dirty]
+        return [self._pages[key] for key in sorted(self._dirty)]
 
     def dirty_count(self) -> int:
-        return sum(1 for page in self._pages.values() if page.dirty)
+        return len(self._dirty)
+
+    def mark_dirty(self, page: Page) -> None:
+        """Dirty ``page`` after the caller changed its data in place.
+
+        A page evicted (clean) between lookup and modification gets the
+        flag but is not tracked, so it is never written back.
+        """
+        page.dirty = True
+        key = (page.ino, page.logical)
+        if self._pages.get(key) is page:
+            self._dirty.add(key)
 
     def mark_clean(self, ino: int, logical: int) -> None:
         page = self._pages.get((ino, logical))
         if page is not None:
             page.dirty = False
+            self._dirty.discard((ino, logical))
 
     def drop_ino(self, ino: int, from_logical: int = 0) -> None:
         """Drop pages of one file at/after ``from_logical`` (truncate, unlink)."""
         victims = [key for key in self._pages if key[0] == ino and key[1] >= from_logical]
         for key in victims:
             del self._pages[key]
+            self._dirty.discard(key)
         self._last_read.pop(ino, None)
 
     def detach(self) -> dict[tuple[int, int], Page]:
-        """Contained reboot: hand the pages out to survive the reset."""
+        """Contained reboot: hand the pages out, clean, to survive the reset.
+
+        The pages carry over as a *read* cache: the authoritative dirty
+        copies arrive via the hand-off, so preserved dirtiness is cleared
+        — a failed recovery must never flush distrusted buffered data.
+        """
         pages = self._pages
+        for key in self._dirty:
+            pages[key].dirty = False
         self._pages = OrderedDict()
+        self._dirty = set()
         self._last_read = {}
         return dict(pages)
 
     def attach(self, pages: dict[tuple[int, int], Page]) -> None:
         """Re-adopt pages preserved across a contained reboot."""
         for key in sorted(pages):
-            self._pages[key] = pages[key]
+            page = pages[key]
+            self._pages[key] = page
+            if page.dirty:
+                self._dirty.add(key)
         self._evict_excess()
 
     def drop_all(self) -> None:
         self._pages.clear()
+        self._dirty.clear()
         self._last_read.clear()
 
     def _evict_excess(self) -> None:
         while len(self._pages) > self.capacity:
             victim = None
-            for key, page in self._pages.items():
-                if not page.dirty:
+            for key in self._pages:
+                if key not in self._dirty:
                     victim = key
                     break
             if victim is None:

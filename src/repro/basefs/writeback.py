@@ -12,6 +12,11 @@ thing the op log records — is precisely the state accumulated between
 ticks that trigger and ticks that do not; the op-log benchmark sweeps
 these thresholds to show the trade-off the paper implies (more buffering
 = better batching but a longer operation sequence to replay).
+
+A tick that does not commit is O(1): the page, inode and buffer caches
+each own their dirty set, so ``dirty_page_count()`` and
+``dirty_metadata_count()`` read set sizes instead of rescanning the
+caches after every op.
 """
 
 from __future__ import annotations

@@ -68,6 +68,10 @@ class BufferCache:
         """Block numbers with un-written-back modifications."""
         return frozenset(self._dirty)
 
+    def dirty_count(self) -> int:
+        """``len(dirty_blocks)`` without copying the set."""
+        return len(self._dirty)
+
     def read(self, block: int) -> bytes:
         """Return block contents, from cache if present."""
         cached = self._blocks.get(block)

@@ -47,13 +47,10 @@ def contained_reboot(
 ) -> RebootResult:
     """Tear down ``old_fs`` without writing anything it buffered, and
     re-mount the device as a fresh instance."""
-    preserved = old_fs.page_cache.detach()
     # The pages are shared with the shadow / new instance as *read* cache:
-    # the authoritative dirty copies arrive via the hand-off, so preserved
-    # dirtiness is cleared — a failed recovery must never flush distrusted
-    # buffered data.
-    for page in preserved.values():
-        page.dirty = False
+    # detach hands them out clean, so a failed recovery can never flush
+    # distrusted buffered data.
+    preserved = old_fs.page_cache.detach()
     hooks = old_fs.hooks
 
     # Scrub the distrusted state explicitly (the object is about to be

@@ -62,13 +62,31 @@ class Bitmap:
         The wrap-around search is what the base's locality-seeking allocator
         relies on: it passes a goal bit and takes the nearest free one.
         """
-        if self.nbits == 0:
-            return None
         start = start % self.nbits
-        for i in range(self.nbits):
-            bit = (start + i) % self.nbits
-            if not self.test(bit):
+        found = self._first_clear(start, self.nbits)
+        if found is None and start:
+            found = self._first_clear(0, start)
+        return found
+
+    def _first_clear(self, lo: int, hi: int) -> int | None:
+        """First clear bit in ``[lo, hi)``, skipping whole ``0xFF`` bytes."""
+        data = self._bytes
+        bit = lo
+        while bit < hi and bit & 7:  # the partial leading byte
+            if not data[bit >> 3] & (1 << (bit & 7)):
                 return bit
+            bit += 1
+        byte, end_byte = bit >> 3, hi >> 3
+        if byte < end_byte:
+            span = data[byte:end_byte]
+            byte += len(span) - len(span.lstrip(b"\xff"))
+            bit = byte << 3
+        # Left: the byte holding the first clear bit, or the bits of a
+        # partial last byte — at most eight tests either way.
+        while bit < hi:
+            if not data[bit >> 3] & (1 << (bit & 7)):
+                return bit
+            bit += 1
         return None
 
     def find_free_run(self, length: int, start: int = 0) -> int | None:
@@ -86,13 +104,11 @@ class Bitmap:
         return None
 
     def count_set(self) -> int:
-        total = 0
+        """Set bits among the first ``nbits``; padding bits never count."""
         full_bytes, rem = divmod(self.nbits, 8)
-        for i in range(full_bytes):
-            total += self._bytes[i].bit_count()
-        for bit in range(full_bytes * 8, full_bytes * 8 + rem):
-            if self._bytes[bit >> 3] & (1 << (bit & 7)):
-                total += 1
+        total = int.from_bytes(self._bytes[:full_bytes], "little").bit_count()
+        if rem:
+            total += (self._bytes[full_bytes] & ((1 << rem) - 1)).bit_count()
         return total
 
     def count_free(self) -> int:
