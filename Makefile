@@ -121,7 +121,7 @@ examples:
 	$(PYTHON) examples/process_isolation.py
 
 verify:
-	$(PYTHON) -m repro.tools verify --depth 3
+	$(PYTHONPATH_SRC) $(PYTHON) -m repro.tools verify --depth 3
 
 clean:
 	find . -name __pycache__ -type d -exec rm -rf {} + 2>/dev/null || true

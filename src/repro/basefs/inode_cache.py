@@ -24,6 +24,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass
 
+from repro.errors import InvariantViolation
 from repro.ondisk.inode import OnDiskInode
 
 
@@ -84,17 +85,24 @@ class InodeCache:
         """Dirty a slot after the caller changed its inode in place.
 
         Given an inode number, the slot must be cached.  A slot evicted
-        (clean) between lookup and modification gets the flag but is not
-        tracked, so it is never committed.
+        (clean) between lookup and modification is adopted again, dirty,
+        so the change is still committed; the cache may then run over
+        capacity until commit.  A different slot cached under the same
+        inode number would mean two copies of one inode, and raises.
         """
         if isinstance(slot, int):
             resident = self._slots.get(slot)
             if resident is None:
                 raise KeyError(f"inode {slot} not cached")
             slot = resident
+        else:
+            resident = self._slots.get(slot.ino)
+            if resident is None:
+                self._slots[slot.ino] = slot
+            elif resident is not slot:
+                raise InvariantViolation(f"inode {slot.ino} marked dirty is not the cached slot", check="inode-alias")
         slot.dirty = True
-        if self._slots.get(slot.ino) is slot:
-            self._dirty.add(slot.ino)
+        self._dirty.add(slot.ino)
 
     def pin(self, ino: int) -> None:
         slot = self._slots.get(ino)

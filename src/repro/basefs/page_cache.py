@@ -28,6 +28,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass
 
+from repro.errors import InvariantViolation
 from repro.ondisk.layout import BLOCK_SIZE
 
 
@@ -132,13 +133,20 @@ class PageCache:
     def mark_dirty(self, page: Page) -> None:
         """Dirty ``page`` after the caller changed its data in place.
 
-        A page evicted (clean) between lookup and modification gets the
-        flag but is not tracked, so it is never written back.
+        A page evicted (clean) between lookup and modification is adopted
+        again, dirty, so the change still reaches write-back; the cache
+        may then run over capacity until write-back, as it does when every
+        page is dirty.  A different page cached under the same key would
+        mean two copies of one block, and raises.
         """
-        page.dirty = True
         key = (page.ino, page.logical)
-        if self._pages.get(key) is page:
-            self._dirty.add(key)
+        resident = self._pages.get(key)
+        if resident is None:
+            self._pages[key] = page
+        elif resident is not page:
+            raise InvariantViolation(f"page {key} marked dirty is not the cached copy", check="page-alias")
+        page.dirty = True
+        self._dirty.add(key)
 
     def mark_clean(self, ino: int, logical: int) -> None:
         page = self._pages.get((ino, logical))

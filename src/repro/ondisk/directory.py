@@ -18,6 +18,14 @@ slack and tombstones the shadow's checks and fsck must handle.
 byte-exact: base and shadow must produce identical directory *contents*
 for identical operation histories (slot placement included, since both use
 first-fit), which the equivalence checker exploits.
+
+Every read — ``find``, ``entries``, ``is_empty`` — walks and validates the
+whole block once: the record chain, then each live record's name (non-empty,
+strict UTF-8) and file type.  A malformed record anywhere in the block
+raises, even one after the entry a lookup is after.  ``find`` compares
+names on that walk's plain tuples and builds a :class:`DirEntry` only for
+the hit, since the base resolves a path component on every dentry-cache
+miss and the cache-free shadow on every component of every replayed op.
 """
 
 from __future__ import annotations
@@ -25,7 +33,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 
-from repro.ondisk.inode import FileType
+from repro.ondisk.inode import FILE_TYPES, FileType
 from repro.ondisk.layout import BLOCK_SIZE
 
 MAX_NAME_LEN = 255
@@ -99,20 +107,40 @@ class DirBlock:
             raise ValueError(f"directory records end at {offset}, not at block boundary")
         return records
 
-    def entries(self) -> list[DirEntry]:
-        """All live entries in block order."""
-        out = []
-        for offset, ino, _rec_len, name_len, ftype in self._records():
+    def _live(self) -> list[tuple[int, int, str, FileType]]:
+        """``(offset, ino, name, file_type)`` for every live record, in
+        block order, after validating the whole block.
+
+        The checks and their order are those of building a
+        :class:`DirEntry` per record: the chain first (``_records``), then
+        per live record a strict UTF-8 decode, a known file type (raising
+        what ``FileType(raw)`` raises) and a non-empty name.
+        """
+        data = self._data
+        live = []
+        for offset, ino, _rec_len, name_len, raw_ftype in self._records():
             if ino == 0:
                 continue
-            name = self._data[offset + _HEADER_SIZE : offset + _HEADER_SIZE + name_len].decode()
-            out.append(DirEntry(ino=ino, name=name, ftype=FileType(ftype), offset=offset))
-        return out
+            start = offset + _HEADER_SIZE
+            name = data[start : start + name_len].decode()
+            ftype = FILE_TYPES.get(raw_ftype)
+            if ftype is None:
+                FileType(raw_ftype)  # raises the enum's own ValueError
+            if not name:
+                raise ValueError("empty directory entry name")
+            live.append((offset, ino, name, ftype))
+        return live
+
+    def entries(self) -> list[DirEntry]:
+        """All live entries in block order."""
+        return [
+            DirEntry(ino=ino, name=name, ftype=ftype, offset=offset) for offset, ino, name, ftype in self._live()
+        ]
 
     def find(self, name: str) -> DirEntry | None:
-        for entry in self.entries():
-            if entry.name == name:
-                return entry
+        for offset, ino, entry_name, ftype in self._live():
+            if entry_name == name:
+                return DirEntry(ino=ino, name=entry_name, ftype=ftype, offset=offset)
         return None
 
     # ---- mutation ----------------------------------------------------------
@@ -169,7 +197,7 @@ class DirBlock:
 
     def is_empty(self) -> bool:
         """True if the block holds no live entries."""
-        return not self.entries()
+        return not self._live()
 
     def free_space_for(self, name: str) -> bool:
         """Would ``insert(name)`` succeed?  (Non-mutating probe.)"""

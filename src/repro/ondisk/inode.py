@@ -37,6 +37,10 @@ class FileType(enum.IntEnum):
     SYMLINK = 3
 
 
+# Raw type value -> member: decoders look types up here, because calling
+# ``FileType(raw)`` goes through ``Enum.__call__`` on every record.
+FILE_TYPES = {ftype.value: ftype for ftype in FileType}
+
 _TYPE_SHIFT = 12
 _PERM_MASK = 0o7777
 
@@ -80,11 +84,7 @@ class OnDiskInode:
 
     @property
     def ftype(self) -> FileType:
-        raw = self.mode >> _TYPE_SHIFT
-        try:
-            return FileType(raw)
-        except ValueError:
-            return FileType.NONE
+        return FILE_TYPES.get(self.mode >> _TYPE_SHIFT, FileType.NONE)
 
     @property
     def perms(self) -> int:

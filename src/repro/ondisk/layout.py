@@ -26,6 +26,7 @@ implementation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 BLOCK_SIZE = 4096
 INODE_SIZE = 256
@@ -84,7 +85,7 @@ class DiskLayout:
         """Blocks occupied by one group's inode table."""
         return self.inodes_per_group // INODES_PER_BLOCK
 
-    @property
+    @cached_property
     def group_count(self) -> int:
         """Number of (possibly partial-last) block groups."""
         return (self.block_count + self.blocks_per_group - 1) // self.blocks_per_group
@@ -159,9 +160,16 @@ class DiskLayout:
         return block // self.blocks_per_group
 
     def is_metadata_block(self, block: int) -> bool:
-        """True if ``block`` holds format metadata (never file data)."""
+        """True if ``block`` holds format metadata (never file data).
+
+        Equal to ``block in metadata_blocks(group_of_block(block))``, in
+        O(1): each group's metadata is one contiguous run from the group's
+        first block — superblock, journal, both bitmaps and inode table in
+        group 0, both bitmaps and inode table elsewhere — so the test is
+        whether ``block`` lies below the end of that run.
+        """
         group = self.group_of_block(block)
-        return block in self.metadata_blocks(group)
+        return block < self._meta_start(group) + 2 + self.inode_table_blocks
 
     def data_blocks_in_group(self, group: int) -> range:
         """The data-block range of ``group``."""

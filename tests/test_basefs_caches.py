@@ -7,7 +7,7 @@ from repro.basefs.hooks import HookPoints
 from repro.basefs.inode_cache import InodeCache
 from repro.basefs.page_cache import PageCache
 from repro.core.supervisor import RAEConfig, RAEFilesystem
-from repro.errors import CrossCheckMismatch, FsError, KernelBug
+from repro.errors import FsError, InvariantViolation, KernelBug
 from repro.fsck import Fsck
 from repro.ondisk.inode import FileType, OnDiskInode, make_mode
 from repro.ondisk.layout import BLOCK_SIZE
@@ -261,13 +261,26 @@ class TestDirtySets:
         cache.mark_clean(9, 9)  # absent: no-op
         self.assert_pages_consistent(cache)
 
-    def test_page_mark_dirty_of_evicted_page_is_untracked(self):
+    def test_page_mark_dirty_of_evicted_page_readopts_it(self):
         cache = PageCache(capacity_pages=1)
         stale = cache.install(1, 0, self.page(1), dirty=False)
         cache.install(1, 1, self.page(2), dirty=False)  # evicts (1, 0)
         cache.mark_dirty(stale)
-        assert stale.dirty
-        assert cache.dirty_count() == 0
+        assert stale.dirty and cache.dirty_pages() == [stale]
+        assert len(cache) == 2  # over capacity until write-back
+        self.assert_pages_consistent(cache)
+        cache.install(1, 2, self.page(3), dirty=False)  # evicts clean pages only
+        assert cache.dirty_pages() == [stale]
+        self.assert_pages_consistent(cache)
+
+    def test_page_mark_dirty_of_superseded_page_raises(self):
+        cache = PageCache(capacity_pages=1)
+        stale = cache.install(1, 0, self.page(1), dirty=False)
+        cache.install(1, 1, self.page(2), dirty=False)  # evicts (1, 0)
+        cache.install(1, 0, self.page(3), dirty=False)  # a second copy of (1, 0)
+        with pytest.raises(InvariantViolation):
+            cache.mark_dirty(stale)
+        assert not stale.dirty and cache.dirty_count() == 0
         self.assert_pages_consistent(cache)
 
     def test_page_drop_ino_range(self):
@@ -341,12 +354,23 @@ class TestDirtySets:
         with pytest.raises(KeyError):
             cache.mark_dirty(99)
 
-    def test_inode_mark_dirty_of_evicted_slot_is_untracked(self):
+    def test_inode_mark_dirty_of_evicted_slot_readopts_it(self):
         cache = InodeCache(capacity=1)
         stale = cache.insert(1, self.make_inode())
         cache.insert(2, self.make_inode())  # evicts ino 1
         cache.mark_dirty(stale)
-        assert stale.dirty and cache.dirty_count() == 0
+        assert stale.dirty and cache.dirty_inodes() == [stale]
+        assert 1 in cache and len(cache) == 2  # over capacity until commit
+        self.assert_inodes_consistent(cache)
+
+    def test_inode_mark_dirty_of_superseded_slot_raises(self):
+        cache = InodeCache(capacity=1)
+        stale = cache.insert(1, self.make_inode())
+        cache.insert(2, self.make_inode())  # evicts ino 1
+        cache.insert(1, self.make_inode())  # a second slot for ino 1
+        with pytest.raises(InvariantViolation):
+            cache.mark_dirty(stale)
+        assert not stale.dirty and cache.dirty_count() == 0
         self.assert_inodes_consistent(cache)
 
     def test_inode_remove_dirty(self):
@@ -402,11 +426,8 @@ def test_dirty_sets_match_rescan_through_recoveries():
     commits, evictions, contained reboots and hand-offs — the O(1)
     counts and sorted listings equal a rescan of the dirty flags.
 
-    The stream must run to its end for the comparison to cover it, so it
-    uses seed 13 at 400 ops, which gets through three or more recoveries
-    and many evictions.  Seed 12 at 800 ops instead stops at the known
-    small-cache lost-update defect (ROADMAP item 2); that run is kept as
-    the strict xfail below, so the defect stays visible."""
+    Seed 13 at 400 ops gets through three or more recoveries and many
+    evictions."""
     device, fs = small_cache_fileserver_fs()
     for operation in WorkloadGenerator(fileserver_profile(), seed=13).ops(400):
         try:
@@ -425,18 +446,12 @@ def test_dirty_sets_match_rescan_through_recoveries():
     assert Fsck(device).run().clean
 
 
-@pytest.mark.xfail(
-    raises=CrossCheckMismatch,
-    strict=True,
-    reason="small caches lose updates: mark_dirty can hit a page or inode "
-    "already evicted clean, so the write is never persisted (ROADMAP item 2)",
-)
 def test_small_caches_keep_every_update():
-    """Known defect: with 16 pages and 8 inodes, a write or inode update
-    can land on an entry that was evicted clean between lookup and
-    modification.  The base then reads stale data, and the shadow's
-    cross-check catches it after the next recovery.  Fixing the defect
-    turns this strict xfail into a failure, to be removed with the fix."""
+    """With 16 pages and 8 inodes, a write or inode update can land on an
+    entry that was evicted clean between lookup and modification.  Unless
+    ``mark_dirty`` adopts it again, the update never reaches disk, the base
+    reads stale data, and the shadow's cross-check raises
+    ``CrossCheckMismatch`` after the next recovery (op #868 of this run)."""
     device, fs = small_cache_fileserver_fs()
     for operation in WorkloadGenerator(fileserver_profile(), seed=12).ops(800):
         try:

@@ -20,6 +20,15 @@ def test_make_mode_and_type_accessors():
     assert inode.ftype == FileType.DIRECTORY
 
 
+def test_ftype_maps_every_type_nibble():
+    for raw in range(16):
+        try:
+            expected = FileType(raw)
+        except ValueError:
+            expected = FileType.NONE
+        assert OnDiskInode(mode=(raw << 12) | 0o644).ftype is expected, raw
+
+
 def test_pack_unpack_roundtrip():
     inode = OnDiskInode(
         mode=make_mode(FileType.REGULAR, 0o644),

@@ -108,3 +108,26 @@ def test_rejects_impossible_geometry():
 def test_inode_count():
     layout = make(block_count=2500, blocks_per_group=1024, inodes_per_group=256)
     assert layout.inode_count == 3 * 256
+
+
+@pytest.mark.parametrize(
+    "layout",
+    [
+        DiskLayout(block_count=4096),
+        # The smallest group 0 __post_init__ accepts: SB, 8 journal blocks,
+        # two bitmaps, a one-block inode table and one data block.
+        DiskLayout(block_count=13 * 4, blocks_per_group=13, inodes_per_group=16, journal_blocks=8),
+        # Short last groups: two blocks (the bitmaps only), then one block.
+        DiskLayout(block_count=13 * 3 + 2, blocks_per_group=13, inodes_per_group=16, journal_blocks=8),
+        DiskLayout(block_count=2 * 1024 + 1),
+        DiskLayout(block_count=2500, blocks_per_group=1024, inodes_per_group=512, journal_blocks=64),
+    ],
+    ids=["default", "smallest-group0", "short-last-2", "short-last-1", "short-last-452"],
+)
+def test_is_metadata_block_matches_metadata_blocks(layout):
+    for block in range(layout.block_count):
+        expected = block in layout.metadata_blocks(layout.group_of_block(block))
+        assert layout.is_metadata_block(block) == expected, block
+    for block in (-1, layout.block_count, layout.block_count + 5):
+        with pytest.raises(ValueError):
+            layout.is_metadata_block(block)
