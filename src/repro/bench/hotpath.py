@@ -72,8 +72,10 @@ def run_mix(
     ``device_tweak`` (tests) mutates the fresh device *before* the
     supervisor wraps it, so an injected slowdown in, say,
     ``read_block`` is attributed to the device layer like any real
-    cost.  ``attribution=False`` is the ablation arm: same run, no
-    profiler, layer fields zeroed.
+    cost.  The profiler runs in exact mode (every op sampled), so the
+    layer tables stay comparable with the committed baseline.
+    ``attribution=False`` is the ablation arm: same run, no profiler,
+    layer fields zeroed.
     """
     profile = MIX_PROFILES[name]()
     operations = WorkloadGenerator(profile, seed=seed).ops(ops)
@@ -84,7 +86,7 @@ def run_mix(
         if device_tweak is not None:
             device_tweak(device)
         fs = RAEFilesystem(
-            device, config=RAEConfig(metrics=True, profile=attribution)
+            device, config=RAEConfig(metrics=True, profile=1 if attribution else 0)
         )
         start = time.perf_counter()
         run_ops(fs, operations)

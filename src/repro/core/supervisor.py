@@ -51,12 +51,15 @@ class RAEConfig:
     # Observability: per-op latency/errno instruments plus the recovery
     # span timeline.  Disabled costs one boolean test per operation.
     metrics: bool = True
-    # Layer-attribution profiling (repro.obs.prof): wraps the live
-    # supervisor/base/device methods to split each op's wall time into
-    # per-layer self-time.  On by default — the tier-2 ablation keeps it
-    # within the observability noise band — and implied off when
-    # ``metrics`` is off (the breakdown lands in registry histograms).
-    profile: bool = True
+    # Layer-attribution profiling (repro.obs.prof): the sampling period N.
+    # The first op and every N-th op after it are split exactly into
+    # per-layer self-time by wrappers installed for that op alone; the
+    # ops between samples run unwrapped, which is what lets the profiler
+    # stay on by default (docs/OBSERVABILITY.md has the measured cost).
+    # 1 (or True) profiles every op, 0 (or False) turns the profiler
+    # off.  Implied off when ``metrics`` is off (the breakdown lands in
+    # registry histograms).
+    profile: int = 64
     # Ring-buffer caps for supervisor-lifetime histories (cumulative
     # counts are kept separately and never dropped).
     event_history_limit: int = 256
@@ -70,6 +73,13 @@ class RAEConfig:
     # How many forensic bundles to keep in memory (one per recovery;
     # the count of bundles ever built is never lost).
     bundle_history_limit: int = 16
+
+    def __post_init__(self) -> None:
+        # bool is an int: True and False are the periods 1 and 0.
+        if not isinstance(self.profile, int) or self.profile < 0:
+            raise ValueError(
+                f"profile must be a sampling period >= 0 (or a bool), got {self.profile!r}"
+            )
 
 
 @dataclass
@@ -154,11 +164,16 @@ class RAEFilesystem(FilesystemAPI):
         self._window_generation = self.base.sb.write_generation
         self._wire_base()
         # Layer-attribution profiler: wraps this supervisor's hot path
-        # (and re-wraps after every contained reboot via on_reboot).
+        # for the sampled ops, armed at the start of ``_call`` (and
+        # re-wraps after a contained reboot inside a sampled op via
+        # on_reboot).
         self.profiler = None
         if self.config.profile and self.obs.enabled:
-            self.profiler = LayerProfiler(self.obs)
+            self.profiler = LayerProfiler(self.obs, int(self.config.profile))
             self.profiler.attach(self)
+        # (latency histogram, count counter) per op name, so the per-op
+        # metrics tail does no name formatting or registry lookup.
+        self._op_instruments: dict[str, tuple] = {}
         self._register_collectors()
         self.flight.rebaseline()
 
@@ -276,6 +291,12 @@ class RAEFilesystem(FilesystemAPI):
         """Execute one operation with recording, detection, recovery."""
         if self._in_recovery:
             raise RecoveryFailure("operation submitted during recovery", phase="admission")
+        profiler = self.profiler
+        if profiler is not None and not profiler.armed and not self.seq % profiler.every:
+            # A sampled op (the first, then every N-th after it): install
+            # the wrappers and enter through the ``_call`` wrapper itself.
+            profiler.arm()
+            return self._call(name, **args)
         op = FsOp(name=name, args=args)
         self.seq += 1
         seq = self.seq
@@ -310,8 +331,14 @@ class RAEFilesystem(FilesystemAPI):
                 self.oplog.record(seq, op, outcome)
 
         if obs_on:
-            self.obs.histogram(f"op.latency.{name}").observe(self.obs.clock() - start)
-            self.obs.counter(f"op.count.{name}").inc()
+            instruments = self._op_instruments.get(name)
+            if instruments is None:
+                instruments = self._op_instruments[name] = (
+                    self.obs.histogram(f"op.latency.{name}"),
+                    self.obs.counter(f"op.count.{name}"),
+                )
+            instruments[0].observe(self.obs.clock() - start)
+            instruments[1].inc()
             if outcome.errno is not None:
                 self.obs.counter(f"op.errno.{outcome.errno.name}").inc()
         # After the latency observation: the recorder shares the obs

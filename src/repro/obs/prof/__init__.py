@@ -1,11 +1,12 @@
 """Layer-attribution profiling for the supervisor's op hot path.
 
-:class:`LayerProfiler` decomposes every operation's wall time into
-*self-time* per layer of the stack — ``api`` (supervisor dispatch) →
-``vfs`` (path/dentry/fd logic in :class:`BaseFilesystem`) →
+:class:`LayerProfiler` decomposes a sampled operation's wall time
+into *self-time* per layer of the stack — ``api`` (supervisor dispatch)
+→ ``vfs`` (path/dentry/fd logic in :class:`BaseFilesystem`) →
 ``pagecache`` (page + buffer caches) → ``journal`` → ``writeback`` →
 ``blkmq`` → ``device`` — by wrapping the live methods of the supervisor
-side only.  Nothing under ``repro.shadowfs`` or ``repro.spec`` is
+side only, for the first op and every N-th op after it (every op in
+exact mode).  Nothing under ``repro.shadowfs`` or ``repro.spec`` is
 touched (SHADOW-PURITY): the shadow and the spec model stay
 instrumentation-free, and the wrapping is runtime ``setattr`` on
 instances the supervisor already owns, so no base-layer module gains an

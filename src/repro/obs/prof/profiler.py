@@ -18,10 +18,23 @@ so the artifact gets p50/p95/p99 *of per-op self-time* per layer.
 Attachment is runtime ``setattr`` on live instances — the supervisor,
 its base filesystem's subsystems, and the block device — never a
 module-level import into the base layers, so the pull-don't-push
-discipline (docs/OBSERVABILITY.md) and SHADOW-PURITY both hold.  A
-contained reboot swaps in a fresh base with unwrapped subsystems; the
-profiler registers an ``on_reboot`` callback to re-wrap the new base
-(the device instance survives reboots and stays wrapped).
+discipline (docs/OBSERVABILITY.md) and SHADOW-PURITY both hold.
+
+**Sampling.**  The wrapper closures are built once per base (at
+``attach`` and after each contained reboot) into a wrap plan.
+:meth:`LayerProfiler.arm` installs the plan with ``setattr``; with a
+sampling period ``every`` above 1, the end of the sampled op (its stack
+emptying) removes it again, so the ops in between run the plain
+methods at no cost.  The supervisor arms at the start of ops 1,
+``every + 1``, ``2 * every + 1``, … and enters the op through the
+``_call`` wrapper just installed, so only supervisor ops are ever
+sampled and each is attributed exactly as in ``every == 1`` mode, where
+the plan, armed at the first op, stays installed for good.  A contained
+reboot swaps in a fresh base: the profiler's ``on_reboot`` callback
+builds the new base's plan and installs it at once when the reboot runs
+inside a sampled op (the device instance survives reboots and keeps its
+plan).  Methods replaced on these instances after ``attach`` are not
+followed: arming reinstalls the wrappers built around the originals.
 """
 
 from __future__ import annotations
@@ -50,24 +63,52 @@ _BLKMQ_METHODS = ("submit", "pump", "drain", "reap")
 _DEVICE_METHODS = ("read_block", "write_block", "flush")
 
 
+def _set_on_instance(obj: object, name: str, value: object) -> bool:
+    """Whether ``value`` (what ``obj.name`` returned) is set on the
+    instance rather than provided by its class.
+
+    Compares ``value`` with the class attribute bound to ``obj``, the
+    way attribute lookup would bind it.  Asking ``name in obj.__dict__``
+    instead would turn the instance's inline attribute values into a
+    real dict on CPython 3.11+, which slows every later attribute load
+    on ``obj`` for good.
+    """
+    cls = type(obj)
+    for klass in cls.__mro__:
+        if name in klass.__dict__:
+            attr = klass.__dict__[name]
+            bind = getattr(type(attr), "__get__", None)
+            return value != (attr if bind is None else bind(attr, obj, cls))
+    return True
+
+
 class LayerProfiler:
     """Decompose op wall time into per-layer self-time (see module doc).
 
     ``registry`` supplies the injected monotonic clock and the
     histogram store — tests pass a fake-clock :class:`Registry` and get
-    bit-exact attributions.
+    bit-exact attributions.  ``every`` is the sampling period: the
+    wrappers stay installed for good when it is 1, and otherwise come
+    off again as soon as a sampled op ends.
     """
 
-    def __init__(self, registry):
+    def __init__(self, registry, every: int = 1):
+        if every < 1:
+            raise ValueError(f"sampling period must be >= 1, got {every}")
         self.registry = registry
+        self.every = every
         self.clock: Callable[[], float] = registry.clock
         self.self_seconds: dict[str, float] = {layer: 0.0 for layer in LAYERS}
         self.calls: dict[str, int] = {layer: 0 for layer in LAYERS}
         self.ops = 0
+        self.armed = False
         self._stack: list[list] = []
         self._op_self: dict[str, float] = {}
-        self._wrapped: list[tuple[object, str, object, bool]] = []
-        self._base_wrapped: list[tuple[object, str, object, bool]] = []
+        # Wrap plans: (obj, name, wrapper, original, had_instance_attr).
+        # The supervisor and device plan lives as long as the attachment;
+        # the base plan is rebuilt for every rebooted base.
+        self._plan: list[tuple[object, str, object, object, bool]] = []
+        self._base_plan: list[tuple[object, str, object, object, bool]] = []
         self._hists = {
             layer: registry.histogram(
                 f"layer.self.{layer}", lo=_HIST_LO, buckets=_HIST_BUCKETS
@@ -78,11 +119,13 @@ class LayerProfiler:
 
     # -- wrapping ------------------------------------------------------
 
-    def _wrap(self, records: list, obj: object, name: str, layer: str) -> None:
+    def _wrap(self, plan: list, obj: object, name: str, layer: str) -> None:
+        """Build ``obj.name``'s wrapper into ``plan``; installed now if
+        the profiler is armed, else at the next :meth:`arm`."""
         original = getattr(obj, name, None)
         if original is None or getattr(original, _WRAP_MARKER, False):
             return
-        had_instance_attr = name in getattr(obj, "__dict__", {})
+        had_instance_attr = _set_on_instance(obj, name, original)
         clock = self.clock
         stack = self._stack
         acc = self._op_self
@@ -108,13 +151,13 @@ class LayerProfiler:
                     self._flush_op()
 
         setattr(wrapper, _WRAP_MARKER, True)
-        setattr(obj, name, wrapper)
-        records.append((obj, name, original, had_instance_attr))
+        plan.append((obj, name, wrapper, original, had_instance_attr))
+        if self.armed:
+            setattr(obj, name, wrapper)
 
     @staticmethod
-    def _unwrap(records: list) -> None:
-        while records:
-            obj, name, original, had_instance_attr = records.pop()
+    def _remove(plan: list) -> None:
+        for obj, name, _wrapper, original, had_instance_attr in reversed(plan):
             if had_instance_attr:
                 setattr(obj, name, original)
             else:
@@ -123,7 +166,23 @@ class LayerProfiler:
                 except AttributeError:
                     setattr(obj, name, original)
 
+    def arm(self) -> None:
+        """Install every wrapper: the op that starts next is sampled.  A
+        no-op when already armed."""
+        if not self.armed:
+            self.armed = True
+            for obj, name, wrapper, _original, _had in self._plan + self._base_plan:
+                setattr(obj, name, wrapper)
+
+    def disarm(self) -> None:
+        """Remove every wrapper; the methods are the plain ones again."""
+        if self.armed:
+            self.armed = False
+            self._remove(self._base_plan)
+            self._remove(self._plan)
+
     def _flush_op(self) -> None:
+        """Fold the finished op in and, when sampling, end the sample."""
         self.ops += 1
         acc = self._op_self
         totals = self.self_seconds
@@ -132,51 +191,60 @@ class LayerProfiler:
             totals[layer] += seconds
             hists[layer].observe(seconds)
         acc.clear()
+        if self.every != 1:
+            self.disarm()
 
     def _wrap_base(self, base) -> None:
+        plan = self._base_plan
         for name in _VFS_OPS:
-            self._wrap(self._base_wrapped, base, name, "vfs")
+            self._wrap(plan, base, name, "vfs")
         # commit is the writeback path's entry (fsync/tick/scrub all
         # funnel there); the journal and home-write costs nested inside
         # it are charged to their own layers.
-        self._wrap(self._base_wrapped, base, "commit", "writeback")
-        self._wrap(self._base_wrapped, base.writeback, "tick", "writeback")
-        self._wrap(self._base_wrapped, base.journal, "commit", "journal")
+        self._wrap(plan, base, "commit", "writeback")
+        self._wrap(plan, base.writeback, "tick", "writeback")
+        self._wrap(plan, base.journal, "commit", "journal")
         for name in _PAGECACHE_METHODS:
-            self._wrap(self._base_wrapped, base.page_cache, name, "pagecache")
+            self._wrap(plan, base.page_cache, name, "pagecache")
         for name in _BUFFERCACHE_METHODS:
-            self._wrap(self._base_wrapped, base.cache, name, "pagecache")
+            self._wrap(plan, base.cache, name, "pagecache")
         for name in _BLKMQ_METHODS:
-            self._wrap(self._base_wrapped, base.blkmq, name, "blkmq")
+            self._wrap(plan, base.blkmq, name, "blkmq")
 
     def _on_reboot(self, new_base) -> None:
-        """Contained reboot: the old base's wrapped objects are dead;
-        re-wrap the fresh base's layer objects in place."""
-        self._unwrap(self._base_wrapped)
+        """Contained reboot: the old base's objects are dead.  Build the
+        fresh base's wrappers, installed at once only when the reboot
+        runs inside a sampled op."""
+        if self.armed:
+            self._remove(self._base_plan)
+        self._base_plan = []
         self._wrap_base(new_base)
 
     # -- public API ----------------------------------------------------
 
     def attach(self, fs) -> None:
-        """Wrap a live :class:`RAEFilesystem` (supervisor dispatch, its
-        base's layers, and the block device) and follow reboots."""
+        """Build the wrappers of a live :class:`RAEFilesystem`
+        (supervisor dispatch, its base's layers, and the block device)
+        and follow reboots.  Nothing is installed until :meth:`arm`."""
         if self._fs is not None:
             raise ValueError("LayerProfiler is already attached")
         self._fs = fs
-        self._wrap(self._wrapped, fs, "_call", "api")
-        self._wrap(self._wrapped, fs, "unmount", "api")
+        self._wrap(self._plan, fs, "_call", "api")
+        self._wrap(self._plan, fs, "unmount", "api")
         for name in _DEVICE_METHODS:
-            self._wrap(self._wrapped, fs.device, name, "device")
+            self._wrap(self._plan, fs.device, name, "device")
         self._wrap_base(fs.base)
         fs.on_reboot.append(self._on_reboot)
 
     def detach(self) -> None:
-        """Restore every wrapped method and stop following reboots."""
+        """Restore every wrapped method and stop following reboots.  The
+        plans are dropped, so a later :meth:`arm` installs nothing."""
         fs = self._fs
         if fs is None:
             return
-        self._unwrap(self._base_wrapped)
-        self._unwrap(self._wrapped)
+        self.disarm()
+        self._plan = []
+        self._base_plan = []
         if self._on_reboot in fs.on_reboot:
             fs.on_reboot.remove(self._on_reboot)
         self._fs = None
@@ -187,7 +255,7 @@ class LayerProfiler:
 
     def collector_snapshot(self) -> dict:
         """Flat dict for the registry's ``prof.`` collector namespace."""
-        snap: dict = {"ops": self.ops}
+        snap: dict = {"ops": self.ops, "sample_every": self.every}
         for layer in LAYERS:
             snap[f"{layer}.self_seconds"] = self.self_seconds[layer]
             snap[f"{layer}.calls"] = self.calls[layer]

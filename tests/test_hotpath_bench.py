@@ -87,6 +87,28 @@ class TestHarness:
         assert set(mix["layers"]) == set(LAYERS)
         assert _zero_layers(mix)
 
+    def test_run_mix_profiles_every_op(self, monkeypatch):
+        """rae-bench stays in exact mode whatever the supervisor default
+        is, so its layer tables stay comparable across runs."""
+        import repro.bench.hotpath as hotpath
+
+        supervisors = []
+        supervisor_class = hotpath.RAEFilesystem
+
+        def recording(*args, **kwargs):
+            fs = supervisor_class(*args, **kwargs)
+            supervisors.append(fs)
+            return fs
+
+        monkeypatch.setattr(hotpath, "RAEFilesystem", recording)
+        mix = run_mix("write_heavy", ops=OPS, rounds=2)
+        assert len(supervisors) == 2
+        for fs in supervisors:
+            assert fs.profiler.every == 1
+            # The api layer wraps RAEFilesystem._call: one call per op.
+            assert fs.profiler.calls["api"] == fs.seq > OPS
+        assert mix["layers"]["api"]["calls"] == supervisors[0].seq
+
     def test_write_hotpath_explicit_env_and_default(self, tmp_path, monkeypatch):
         payload = {"schema": 1, "meta": {}, "mixes": {}}
         explicit = tmp_path / "explicit.json"

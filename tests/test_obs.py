@@ -264,6 +264,35 @@ class TestSupervisorObs:
         assert hist["count"] == 1
         assert hist["sum"] == pytest.approx(0.5)  # exactly one clock step
 
+    def test_per_op_instruments_resolved_once_per_name(self, device, hooks):
+        """The per-op tail caches each name's (latency, count) pair; the
+        registry still holds the same instruments and values, and each
+        op still spans exactly one clock step."""
+        rae = RAEFilesystem(
+            device, RAEConfig(profile=False), hooks=hooks,
+            obs=Registry(clock=FakeClock(step=0.5)),
+        )
+        rae.mkdir("/a")
+        rae.mkdir("/b")
+        rae.stat("/a")
+        with pytest.raises(FsError):
+            rae.rmdir("/missing")
+        snap = rae.obs.snapshot()
+        assert snap["counters"] == {
+            "op.count.mkdir": 2, "op.count.rmdir": 1, "op.count.stat": 1,
+            "op.errno.ENOENT": 1,
+        }
+        assert sorted(snap["histograms"]) == [
+            "op.latency.mkdir", "op.latency.rmdir", "op.latency.stat",
+        ]
+        for name, count in (("mkdir", 2), ("rmdir", 1), ("stat", 1)):
+            hist = snap["histograms"][f"op.latency.{name}"]
+            assert hist["count"] == count
+            assert hist["sum"] == pytest.approx(0.5 * count)
+        latency, count = rae._op_instruments["mkdir"]
+        assert latency is rae.obs.histogram("op.latency.mkdir")
+        assert count is rae.obs.counter("op.count.mkdir")
+
     def test_differential_metrics_on_off_same_filesystem_state(self):
         """Instrumentation must be observationally free: identical op
         streams with metrics on vs off end in byte-identical images."""
